@@ -46,8 +46,8 @@ print(
     f"seed-slot {multi['seed_slot']['speedup']:.2f}x)"
 )
 
-# The precision matrix must be present and validated: every tier covered
-# on both backbones, f64 rows bit-exact, KNN accuracy within budget
+# The precision x fusion matrix must be present and validated: the four
+# rows on both backbones, f64 rows bit-exact, KNN accuracy within budget
 # (asserted in-process while the bench runs; the record carries the pin).
 precision = record.get("precision")
 assert precision, "bench_smoke: BENCH_serve.json has no precision section"
@@ -55,8 +55,8 @@ names = [backbone["name"] for backbone in precision["backbones"]]
 assert names == ["resnet", "mixer"], names
 for backbone in precision["backbones"]:
     assert backbone["f64_bit_identical"] is True
-    tiers = {row["precision"] for row in backbone["rows"]}
-    assert tiers == {"f64", "f32", "int8"}, tiers
+    labels = [row["label"] for row in backbone["rows"]]
+    assert labels == ["f64", "f64+fuse", "f32+fuse", "int8+fuse"], labels
 print(
     "bench_smoke: precision matrix ok "
     f"(best f32+fusion speedup {precision['best_speedup_vs_f64']:.2f}x vs f64)"

@@ -7,8 +7,8 @@ result cache, while ``AdapterRegistry`` + ``MultiTenantEngine`` serve a
 fleet of *named* adapters — hot register/swap/evict, a shared LRU of
 compiled programs, and cross-tenant micro-batching.  ``optimize``
 supplies the compile-time pass pipeline: precision tiers
-(f64/f32/int8), elementwise-chain fusion, the per-run arena allocator
-and the thread-parallel slot scheduler.
+(f64/f32/int8) and elementwise-chain fusion; a compiled program then
+runs as one serial loop of plain kernels.
 
 Every path speaks one typed surface (``api``): ``ServeRequest`` in,
 ``ServeResult`` out — the engines' ``serve``/``enqueue``, the asyncio
@@ -30,7 +30,6 @@ from repro.serve.api import (
 )
 from repro.serve.optimize import (
     PRECISIONS,
-    Arena,
     fuse_program,
     quantize_weight,
     resolve_precision,
@@ -67,7 +66,6 @@ from repro.serve.codec import MAX_SEGMENT, decode_payload, encode_payload
 __all__ = [
     "AdapterEntry",
     "AdapterRegistry",
-    "Arena",
     "BatchScheduler",
     "CompiledProgram",
     "DEADLINE_MISSED",

@@ -20,6 +20,12 @@ joined in without the ``np.save``-into-``BytesIO`` round trip (which
 copies the data twice — once into the stream, once out of it).
 Non-contiguous or otherwise unusual arrays fall back to ``np.save``.
 
+``decode_payload`` holds a module-level lock around ``np.load``.
+``np.load`` parses the ``.npy`` header with ``ast.literal_eval``, and
+CPython's AST constructor is not thread-safe: the frontend thread and
+the shard reader threads decoding at once raised ``SystemError``
+("AST constructor recursion depth mismatch") and lost the request.
+
 Control messages that carry *several* arrays (shard registry sync,
 recorded-batch shipping) use :func:`encode_arrays` — a flat sequence of
 length-prefixed ``name | npy`` records, so state-dict keys with dots
@@ -33,6 +39,7 @@ import io
 import json
 import socket
 import struct
+import threading
 from typing import Mapping
 
 import numpy as np
@@ -56,6 +63,9 @@ _LEN = struct.Struct(">I")
 #: Largest accepted header or payload, a sanity bound against garbage
 #: frames (64 MiB covers any realistic batch of image samples here).
 MAX_SEGMENT = 64 * 1024 * 1024
+
+#: Serializes ``np.load``'s ``ast``-based header parse across threads.
+_NP_LOAD_LOCK = threading.Lock()
 
 
 def encode_payload(array: np.ndarray | None) -> bytes:
@@ -86,7 +96,8 @@ def decode_payload(payload: bytes) -> np.ndarray | None:
     """Inverse of :func:`encode_payload` (lossless round trip)."""
     if not payload:
         return None
-    return np.load(io.BytesIO(payload), allow_pickle=False)
+    with _NP_LOAD_LOCK:
+        return np.load(io.BytesIO(payload), allow_pickle=False)
 
 
 def encode_arrays(arrays: "Mapping[str, np.ndarray]") -> bytes:

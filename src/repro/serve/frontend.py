@@ -238,14 +238,17 @@ class ServingFrontend:
             # the scheduler's job); the client gets an error frame, never
             # a hung connection.
             future = self.scheduler.submit(request)
-        except (ServeError, ValueError, TypeError) as exc:
+            result = await asyncio.wrap_future(future)
+        except Exception as exc:
+            # Any failure (a typed ServeError or an unexpected SystemError
+            # alike) answers this id; an escaping exception would leave the
+            # client waiting on a response that never comes.
             await self._respond(
                 writer,
                 write_lock,
-                {"id": request_id, "status": ERROR, "error": str(exc)},
+                {"id": request_id, "status": ERROR, "error": f"{type(exc).__name__}: {exc}"},
             )
             return
-        result = await asyncio.wrap_future(future)
         header_out = {
             "id": request_id,
             "status": result.status,

@@ -535,23 +535,15 @@ class AdapterRegistry:
         self._metrics.gauge("serve.registry.size", len(self))
         return self._metrics.snapshot()
 
-    def program_counters(self) -> dict[str, object]:
+    def program_counters(self) -> dict[str, int]:
         """Optimizer counters summed over every distinct in-use program.
 
         Programs are deduplicated by identity (shared programs count
-        once); histogram buckets are merged.  Feeds the
-        ``serve.fusion.steps_eliminated`` / ``serve.arena.*`` /
-        ``serve.parallel.slots`` series the engines fold into
+        once).  Feeds the ``serve.fusion.steps_eliminated`` /
+        ``serve.quantized.weights`` series the engines fold into
         ``stats()``.
         """
-        totals = {
-            "fusion_eliminated": 0,
-            "quantized": 0,
-            "arena_hits": 0,
-            "arena_allocs": 0,
-            "parallel_skipped": 0,
-        }
-        buckets: dict[str, int] = {}
+        totals = {"fusion_eliminated": 0, "quantized": 0}
         seen: set[int] = set()
         with self._lock:
             entries = list(self._entries.values())
@@ -563,9 +555,6 @@ class AdapterRegistry:
                 counters = program.counters()
                 for field in totals:
                     totals[field] += int(counters[field])
-                for bucket, count in counters["parallel_slots"].items():
-                    buckets[bucket] = buckets.get(bucket, 0) + int(count)
-        totals["parallel_slots"] = buckets
         return totals
 
     # -- compilation ----------------------------------------------------------
@@ -1188,8 +1177,8 @@ class MultiTenantEngine:
         labeled twins when ``tenant_labels`` is on) are merged with its
         registry's (``serve.program_cache.*``, ``serve.registry.*``) and
         with the optimizer counters summed over every in-use compiled
-        program (``serve.fusion.steps_eliminated``, ``serve.arena.*``,
-        ``serve.parallel.slots``) — merged, not inc'd, so the series
+        program (``serve.fusion.steps_eliminated``,
+        ``serve.quantized.weights``) — merged, not inc'd, so the series
         appear even at zero.
         """
         with self._stats_lock:
@@ -1209,23 +1198,6 @@ class MultiTenantEngine:
                 "serve.quantized.weights": {
                     "kind": "counter",
                     "calls": int(programs["quantized"]),
-                },
-                "serve.arena.hit": {
-                    "kind": "counter",
-                    "calls": int(programs["arena_hits"]),
-                },
-                "serve.arena.alloc": {
-                    "kind": "counter",
-                    "calls": int(programs["arena_allocs"]),
-                },
-                "serve.parallel.slots": {
-                    "kind": "histogram",
-                    "calls": sum(programs["parallel_slots"].values()),
-                    "buckets": dict(programs["parallel_slots"]),
-                },
-                "serve.parallel.skipped": {
-                    "kind": "counter",
-                    "calls": int(programs["parallel_skipped"]),
                 },
             }
         )

@@ -3,6 +3,8 @@
 import asyncio
 import io
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +61,42 @@ class TestPayloadRoundTrip:
             buffer = io.BytesIO()
             np.save(buffer, array, allow_pickle=False)
             assert encode_payload(array) == buffer.getvalue()
+
+
+class TestDecodeThreadSafety:
+    def test_np_load_never_runs_on_two_threads_at_once(self, monkeypatch):
+        # np.load parses the header with ast, whose constructor is not
+        # thread-safe; decode_payload must serialize every call.
+        real_load = np.load
+        active, peak = [0], [0]
+        guard = threading.Lock()
+
+        def counting_load(*args, **kwargs):
+            with guard:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0.001)
+            try:
+                return real_load(*args, **kwargs)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(np, "load", counting_load)
+        payload = encode_payload(np.arange(12, dtype=np.float32).reshape(3, 4))
+        results = []
+
+        def decode_many():
+            results.extend(decode_payload(payload) for _ in range(20))
+
+        threads = [threading.Thread(target=decode_many) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert peak[0] == 1
+        assert len(results) == 80
+        assert all(np.array_equal(out, decode_payload(payload)) for out in results)
 
 
 class TestArraysPayload:

@@ -302,6 +302,28 @@ class TestFrontendIntegration:
                 # The connection survived all three.
                 assert client.ping()
 
+    def test_unexpected_exception_gets_an_error_frame(self, engine, rng, monkeypatch):
+        from repro.serve import frontend as frontend_module
+
+        real_decode = frontend_module.decode_payload
+
+        def broken_decode(payload):
+            if payload:  # the client decodes the empty error payload too
+                raise SystemError("error return without exception set")
+            return real_decode(payload)
+
+        monkeypatch.setattr(frontend_module, "decode_payload", broken_decode)
+        sample = images_for(rng, 1)[0]
+        with ServingFrontend(engine) as frontend:
+            host, port = frontend.address
+            with ServeClient(host, port, timeout=10.0) as client:
+                result = client.serve(sample, adapter="solo")
+                assert result.status == ERROR and "SystemError" in result.error
+                # The connection keeps serving once decoding works again.
+                assert client.ping()
+                monkeypatch.setattr(frontend_module, "decode_payload", real_decode)
+                assert client.serve(sample, adapter="solo").ok
+
     def test_garbage_frame_gets_an_error_frame(self, engine):
         from repro.serve.frontend import _LEN, _read_frame_sync
 
