@@ -3,17 +3,25 @@
 Convolution is implemented with im2col: patches are unfolded into a matrix
 so the convolution becomes a single matmul, which is the fastest approach
 available in pure numpy.  The backward pass uses the exact adjoint
-(col2im scatter-add), and is validated against finite differences in the
-test suite.
+(col2im scatter-add), and is validated against finite differences and a
+direct-loop reference in the test suite.
 
 Layout convention: activations are ``(N, C, H, W)`` and convolution
 weights are ``(K_h, K_w, C_in, C_out)`` — the latter matches the paper's
 ``W ∈ R^{K×K×I×O}`` notation for Conv-LoRA (Eq. 5).
+
+The patch matrix is channel-first, ``(N, C*kh*kw, oh*ow)``: the unfold
+copies contiguous ``ow`` runs, the forward ``(Cout, C*kh*kw) @ cols``
+yields a C-contiguous ``(N, Cout, oh, ow)`` output with no transpose,
+and the backward scatters contiguous ``(N, C, oh, ow)`` slices.
+
+:func:`conv2d_shared` runs several kernels off one patch matrix: conv
+adapters' rank-R factor reads the same input as the base conv (Fig. 3).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from typing import Sequence
 
 import numpy as np
 
@@ -41,12 +49,12 @@ def _im2col(
     padding: int,
     _use_workspace: bool = False,
 ) -> tuple[np.ndarray, int, int]:
-    """Unfold ``(N, C, H, W)`` into ``(N, out_h, out_w, C, kh, kw)`` patches.
+    """Unfold ``(N, C, H, W)`` into ``(N, C, kh, kw, out_h, out_w)`` patches.
 
     The returned array is a zero-copy strided view.  With
     ``_use_workspace`` the padded input is written into a pooled scratch
     buffer instead of a fresh allocation — only safe when the caller copies
-    the patches out before the next convolution (conv2d's path does; the
+    the patches out before the next convolution (:func:`_unfold` does; the
     view must not escape the call).
     """
     n, c, h, w = x.shape
@@ -60,54 +68,25 @@ def _im2col(
     stride_n, stride_c, stride_h, stride_w = x.strides
     patches = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, out_h, out_w, c, kh, kw),
-        strides=(stride_n, stride_h * stride, stride_w * stride, stride_c, stride_h, stride_w),
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(stride_n, stride_c, stride_h, stride_w, stride_h * stride, stride_w * stride),
         writeable=False,
     )
     return patches, out_h, out_w
 
 
-# -- workspace + patch caches --------------------------------------------------
+# -- pad workspace -------------------------------------------------------------
 #
-# Two flag-gated reuse layers sit in front of im2col:
-#
-# * a padded-input scratch buffer pooled by (shape, dtype), so repeated
-#   same-shape convolutions stop reallocating (and re-zeroing) the pad
-#   frame every call;
-# * a small LRU of materialized patch matrices keyed on the *identity* of
-#   the input array plus the convolution geometry.  MetaLoRA's conv
-#   adapters convolve the same activations twice per layer (frozen base
-#   conv + adapter conv, same kernel/stride/padding), so the second conv
-#   reuses the first one's unfolded patches.
-#
-# Cache entries hold a strong reference to the keyed input array, so its
-# ``id`` cannot be recycled while the entry is alive; entries are immutable
-# once stored.  Identity alone is not enough — finite-difference gradient
-# checking (and any caller doing in-place updates) perturbs the *same*
-# array object between forwards — so each entry also stores a cheap
-# content fingerprint (sum, sum-of-squares) that must match exactly for a
-# hit.  Both reductions are single read passes, far cheaper than the
-# kh*kw-amplified patch copy they guard.
+# A flag-gated padded-input scratch buffer pooled by (shape, dtype), so
+# repeated same-shape convolutions stop reallocating (and re-zeroing) the
+# pad frame every call.
 
 _PAD_POOL: dict[tuple[tuple[int, ...], np.dtype], np.ndarray] = {}
-_PATCH_CACHE: "OrderedDict[tuple, tuple[np.ndarray, tuple[float, float], np.ndarray, int, int]]" = (
-    OrderedDict()
-)
-_PATCH_CACHE_CAPACITY = 8
-_PATCH_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def conv_patch_cache_stats() -> dict[str, int]:
-    """Hit/miss counters plus current size of the patches cache."""
-    return dict(_PATCH_CACHE_STATS, size=len(_PATCH_CACHE))
 
 
 def clear_conv_caches() -> None:
-    """Drop pooled pad buffers and cached patch matrices (frees memory)."""
+    """Drop pooled pad buffers (frees memory)."""
     _PAD_POOL.clear()
-    _PATCH_CACHE.clear()
-    _PATCH_CACHE_STATS["hits"] = 0
-    _PATCH_CACHE_STATS["misses"] = 0
 
 
 def _padded_workspace(x: np.ndarray, padding: int) -> np.ndarray:
@@ -117,45 +96,19 @@ def _padded_workspace(x: np.ndarray, padding: int) -> np.ndarray:
     buffer = _PAD_POOL.get(key)
     if buffer is None:
         buffer = _PAD_POOL[key] = np.zeros(shape, dtype=x.dtype)
-    else:
-        # Interior is overwritten below; only the pad frame must be zero,
-        # and it already is (nothing ever writes into it).
-        pass
+    # Only the interior is written; the pad frame stays zero.
     buffer[:, :, padding : padding + h, padding : padding + w] = x
     return buffer
 
 
-def _im2col_contiguous(
+def _unfold(
     x: np.ndarray, kh: int, kw: int, stride: int, padding: int
 ) -> tuple[np.ndarray, int, int]:
-    """Materialized (contiguous) im2col patches, with the LRU fast path."""
-    use_cache = FLAGS.conv_patches_cache
-    if use_cache:
-        key = (id(x), kh, kw, stride, padding)
-        fingerprint = _fingerprint(x)
-        entry = _PATCH_CACHE.get(key)
-        if entry is not None and entry[0] is x and entry[1] == fingerprint:
-            _PATCH_CACHE_STATS["hits"] += 1
-            _PATCH_CACHE.move_to_end(key)
-            if OBS.enabled:
-                OBS.inc("conv2d.patches_cache.hit")
-            return entry[2], entry[3], entry[4]
+    """The contiguous ``(N, C*kh*kw, oh*ow)`` patch matrix of ``x``."""
+    n, c = x.shape[0], x.shape[1]
     patches, out_h, out_w = _im2col(x, kh, kw, stride, padding, _use_workspace=True)
-    cols = np.ascontiguousarray(patches)
-    if use_cache:
-        _PATCH_CACHE_STATS["misses"] += 1
-        if OBS.enabled:
-            OBS.inc("conv2d.patches_cache.miss", bytes=cols.nbytes)
-        _PATCH_CACHE[key] = (x, fingerprint, cols, out_h, out_w)
-        if len(_PATCH_CACHE) > _PATCH_CACHE_CAPACITY:
-            _PATCH_CACHE.popitem(last=False)
+    cols = np.ascontiguousarray(patches).reshape(n, c * kh * kw, out_h * out_w)
     return cols, out_h, out_w
-
-
-def _fingerprint(x: np.ndarray) -> tuple[float, float]:
-    """Cheap content check guarding the patch cache against in-place edits."""
-    flat = x.reshape(-1)
-    return float(flat.sum()), float(np.dot(flat, flat))
 
 
 def _col2im(
@@ -166,15 +119,16 @@ def _col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back into an image."""
+    """Adjoint of :func:`_im2col`: scatter-add ``(N, C, kh, kw, oh, ow)``
+    patches back into an image."""
     n, c, h, w = x_shape
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    out_h, out_w = cols.shape[1], cols.shape[2]
+    out_h, out_w = cols.shape[4], cols.shape[5]
     for i in range(kh):
         for j in range(kw):
             padded[
                 :, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride
-            ] += cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            ] += cols[:, :, i, j]
     if padding:
         return padded[:, :, padding : padding + h, padding : padding + w]
     return padded
@@ -191,6 +145,18 @@ def fold_conv_weight(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(2, 0, 1, 3).reshape(c_in * kh * kw, c_out)
 
 
+def _conv_cols(
+    cols: np.ndarray, w_mat: np.ndarray, bias: np.ndarray | None, out_h: int, out_w: int
+) -> np.ndarray:
+    """``(Cout, C*kh*kw) @ (N, C*kh*kw, oh*ow)`` as a ``(N, Cout, oh, ow)`` image."""
+    out = (w_mat.T @ cols).reshape(cols.shape[0], w_mat.shape[1], out_h, out_w)
+    if bias is not None:
+        out = out + bias.reshape(1, w_mat.shape[1], 1, 1)
+    if OBS.enabled:
+        OBS.inc("conv2d.forward", bytes=out.nbytes)
+    return out
+
+
 def conv2d_forward(
     x: np.ndarray,
     w_mat: np.ndarray,
@@ -203,24 +169,82 @@ def conv2d_forward(
     """Graph-free convolution forward on raw arrays.
 
     ``w_mat`` is the pre-folded ``(Cin*kh*kw, Cout)`` matrix from
-    :func:`fold_conv_weight`.  Returns ``(out, cols, out_h, out_w)`` —
-    ``cols`` is the flattened patch matrix the backward pass (and nothing
-    else) needs.  Both :func:`conv2d` and the serve compiler call this, so
-    the two paths are bit-identical by construction and share the padded
-    workspace / patch caches.
+    :func:`fold_conv_weight`.  Returns ``(out, cols, out_h, out_w)`` with
+    ``out`` a C-contiguous ``(N, Cout, oh, ow)`` array.  The autograd ops
+    share these kernels, so the serve compiler is bit-identical to them.
     """
-    n, c_in = x.shape[0], x.shape[1]
-    patches, out_h, out_w = _im2col_contiguous(x, kh, kw, stride, padding)
-    # (N, oh, ow, C*kh*kw) @ (C*kh*kw, Cout) — patches are contiguous, so
-    # this reshape is a view (the copy happened once, inside the cache).
-    cols = patches.reshape(n, out_h, out_w, c_in * kh * kw)
-    out = cols @ w_mat  # (N, oh, ow, Cout)
-    out = out.transpose(0, 3, 1, 2)
-    if bias is not None:
-        out = out + bias.reshape(1, w_mat.shape[1], 1, 1)
-    if OBS.enabled:
-        OBS.inc("conv2d.forward", bytes=out.nbytes)
-    return out, cols, out_h, out_w
+    cols, out_h, out_w = _unfold(x, kh, kw, stride, padding)
+    return _conv_cols(cols, w_mat, bias, out_h, out_w), cols, out_h, out_w
+
+
+def _conv_node(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor | None,
+    cols: np.ndarray,
+    out_h: int,
+    out_w: int,
+    stride: int,
+    padding: int,
+) -> Tensor:
+    """One convolution of ``x``'s patch matrix ``cols`` as a graph node."""
+    kh, kw, c_in, c_out = weight.shape
+    n = x.shape[0]
+    w_mat = fold_conv_weight(weight.data)
+    out = _conv_cols(cols, w_mat, bias.data if bias is not None else None, out_h, out_w)
+    x_shape = x.shape
+
+    def grad_x(g: np.ndarray) -> np.ndarray:
+        d_cols = w_mat @ g.reshape(n, c_out, out_h * out_w)  # (N, C*kh*kw, oh*ow)
+        d_patches = d_cols.reshape(n, c_in, kh, kw, out_h, out_w)
+        result = _col2im(d_patches, x_shape, kh, kw, stride, padding)
+        if OBS.enabled:
+            OBS.inc("conv2d.backward", bytes=result.nbytes)
+        return result
+
+    def grad_w(g: np.ndarray) -> np.ndarray:
+        # Σ_n (C*kh*kw, oh*ow) @ (oh*ow, Cout): the swapaxes is a view
+        # that BLAS reads transposed, so nothing is copied.
+        g_rows = np.swapaxes(g.reshape(n, c_out, out_h * out_w), 1, 2)
+        d_w_mat = (cols @ g_rows).sum(axis=0)  # (C*kh*kw, Cout)
+        if OBS.enabled:
+            OBS.inc("conv2d.backward", bytes=d_w_mat.nbytes)
+        return d_w_mat.reshape(c_in, kh, kw, c_out).transpose(1, 2, 0, 3)
+
+    if bias is None:
+        return Tensor._result(out, (x, weight), (grad_x, grad_w))
+
+    def grad_b(g: np.ndarray) -> np.ndarray:
+        return g.sum(axis=(0, 2, 3))
+
+    return Tensor._result(out, (x, weight, bias), (grad_x, grad_w, grad_b))
+
+
+def conv2d_shared(
+    x: Tensor,
+    weights: Sequence[Tensor],
+    biases: Sequence[Tensor | None] | None = None,
+    stride: int = 1,
+    padding: int = 0,
+) -> list[Tensor]:
+    """``[conv2d(x, w, b, stride, padding) for w, b in zip(weights, biases)]``
+    with ``x`` unfolded once; all weights share ``(K_h, K_w, C_in)``."""
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-d input (N, C, H, W), got {x.shape}")
+    kernel = weights[0].shape[:2]
+    for weight in weights:
+        if weight.ndim != 4 or weight.shape[:3] != (*kernel, x.shape[1]):
+            raise ShapeError(
+                f"conv2d weight {weight.shape} is not (Kh, Kw, Cin, Cout) with "
+                f"(Kh, Kw) = {kernel} and Cin = input channels {x.shape[1]}"
+            )
+    kh, kw = kernel
+    biases = [None] * len(weights) if biases is None else biases
+    cols, out_h, out_w = _unfold(x.data, kh, kw, stride, padding)
+    return [
+        _conv_node(x, weight, bias, cols, out_h, out_w, stride, padding)
+        for weight, bias in zip(weights, biases)
+    ]
 
 
 def max_pool2d_forward(
@@ -229,18 +253,18 @@ def max_pool2d_forward(
     """Graph-free max-pool forward; returns ``(out, argmax, out_h, out_w)``."""
     patches, out_h, out_w = _im2col(x, kernel, kernel, stride, padding=0)
     n, c = x.shape[0], x.shape[1]
-    windows = patches.reshape(n, out_h, out_w, c, kernel * kernel)
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    return out.transpose(0, 3, 1, 2), arg, out_h, out_w
+    windows = patches.reshape(n, c, kernel * kernel, out_h, out_w)
+    arg = windows.argmax(axis=2)
+    out = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
+    return out, arg, out_h, out_w
 
 
 def avg_pool2d_forward(x: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray, int, int]:
     """Graph-free average-pool forward; returns ``(out, out_h, out_w)``."""
     patches, out_h, out_w = _im2col(x, kernel, kernel, stride, padding=0)
     n, c = x.shape[0], x.shape[1]
-    out = patches.reshape(n, out_h, out_w, c, kernel * kernel).mean(axis=-1)
-    return out.transpose(0, 3, 1, 2), out_h, out_w
+    out = patches.reshape(n, c, kernel * kernel, out_h, out_w).mean(axis=2)
+    return out, out_h, out_w
 
 
 def conv2d(
@@ -255,54 +279,7 @@ def conv2d(
     Returns ``(N, C_out, H_out, W_out)``.  ``bias``, if given, has shape
     ``(C_out,)`` and is added per output channel.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d input (N, C, H, W), got {x.shape}")
-    if weight.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d weight (Kh, Kw, Cin, Cout), got {weight.shape}")
-    kh, kw, c_in, c_out = weight.shape
-    if x.shape[1] != c_in:
-        raise ShapeError(
-            f"input channels {x.shape[1]} do not match weight channels {c_in}"
-        )
-
-    n = x.shape[0]
-    w_mat = fold_conv_weight(weight.data)
-    out, cols, out_h, out_w = conv2d_forward(
-        x.data, w_mat, bias.data if bias is not None else None, kh, kw, stride, padding
-    )
-
-    x_shape = x.shape
-
-    def grad_x(g: np.ndarray) -> np.ndarray:
-        g_cols = g.transpose(0, 2, 3, 1)  # (N, oh, ow, Cout)
-        d_cols = g_cols @ w_mat.T  # (N, oh, ow, C*kh*kw)
-        d_patches = d_cols.reshape(n, out_h, out_w, c_in, kh, kw)
-        result = _col2im(d_patches, x_shape, kh, kw, stride, padding)
-        if OBS.enabled:
-            OBS.inc("conv2d.backward", bytes=result.nbytes)
-        return result
-
-    def grad_w(g: np.ndarray) -> np.ndarray:
-        g_cols = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        cols_flat = cols.reshape(-1, c_in * kh * kw)
-        d_w_mat = cols_flat.T @ g_cols  # (C*kh*kw, Cout)
-        if OBS.enabled:
-            OBS.inc("conv2d.backward", bytes=d_w_mat.nbytes)
-        return d_w_mat.reshape(c_in, kh, kw, c_out).transpose(1, 2, 0, 3)
-
-    parents: tuple[Tensor, ...]
-    grad_fns: tuple
-    if bias is not None:
-
-        def grad_b(g: np.ndarray) -> np.ndarray:
-            return g.sum(axis=(0, 2, 3))
-
-        parents = (x, weight, bias)
-        grad_fns = (grad_x, grad_w, grad_b)
-    else:
-        parents = (x, weight)
-        grad_fns = (grad_x, grad_w)
-    return Tensor._result(out, parents, grad_fns)
+    return conv2d_shared(x, [weight], [bias], stride, padding)[0]
 
 
 def pad2d(x: Tensor, padding: int) -> Tensor:
@@ -327,11 +304,9 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     x_shape = x.shape
 
     def grad_fn(g: np.ndarray) -> np.ndarray:
-        g_windows = np.zeros((n, out_h, out_w, c, kernel * kernel), dtype=g.dtype)
-        np.put_along_axis(
-            g_windows, arg[..., None], g.transpose(0, 2, 3, 1)[..., None], axis=-1
-        )
-        d_patches = g_windows.reshape(n, out_h, out_w, c, kernel, kernel)
+        g_windows = np.zeros((n, c, kernel * kernel, out_h, out_w), dtype=g.dtype)
+        np.put_along_axis(g_windows, arg[:, :, None], g[:, :, None], axis=2)
+        d_patches = g_windows.reshape(n, c, kernel, kernel, out_h, out_w)
         return _col2im(d_patches, x_shape, kernel, kernel, stride, padding=0)
 
     return Tensor._result(out, (x,), (grad_fn,))
@@ -346,10 +321,11 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     scale = 1.0 / (kernel * kernel)
 
     def grad_fn(g: np.ndarray) -> np.ndarray:
+        # Every window position receives the same scaled gradient, so a
+        # broadcast view stands in for the patch gradient.
         g_spread = np.broadcast_to(
-            (g.transpose(0, 2, 3, 1) * scale)[..., None, None],
-            (n, out_h, out_w, c, kernel, kernel),
+            (g * scale)[:, :, None, None], (n, c, kernel, kernel, out_h, out_w)
         )
-        return _col2im(np.ascontiguousarray(g_spread), x_shape, kernel, kernel, stride, 0)
+        return _col2im(g_spread, x_shape, kernel, kernel, stride, 0)
 
     return Tensor._result(out, (x,), (grad_fn,))

@@ -5,7 +5,7 @@ in the same process, flipped via :func:`repro.perf.perf_overrides` — and
 writes one JSON record per suite:
 
 - ``BENCH_autograd.json`` — micro-benchmarks of the einsum plan cache /
-  contraction planner and the conv2d patch cache, with per-case speedup
+  contraction planner and a base + adapter conv pair, with per-case speedup
   and the max |optimized - reference| output gap;
 - ``BENCH_table1.json`` — the Table I protocol micro-bench: one episodic
   training step (forward + backward) of a MetaLoRA model at reduced
@@ -184,7 +184,7 @@ def _cp_conv_case(sizes: dict) -> Callable[[], np.ndarray]:
 
 
 def _paired_conv_case(sizes: dict) -> Callable[[], np.ndarray]:
-    """Base conv + adapter conv over the same activations (patch-cache hit)."""
+    """Base conv + adapter conv over the same activations, unfolded once."""
     rng = np.random.default_rng(2)
     n, c, hw, r = sizes["batch"], sizes["channels"], sizes["image"], sizes["rank"]
     x = Tensor(rng.standard_normal((n, c, hw, hw)))
@@ -192,8 +192,7 @@ def _paired_conv_case(sizes: dict) -> Callable[[], np.ndarray]:
     w_adapter = Tensor(rng.standard_normal((3, 3, c, r)) * 0.1, requires_grad=True)
 
     def fn() -> np.ndarray:
-        base = conv_ops.conv2d(x, w_base, None, stride=1, padding=1)
-        delta = conv_ops.conv2d(x, w_adapter, None, stride=1, padding=1)
+        base, delta = conv_ops.conv2d_shared(x, [w_base, w_adapter], stride=1, padding=1)
         loss = base.sum() + delta.sum()
         loss.backward()
         out = np.concatenate([base.data.ravel(), delta.data.ravel()])

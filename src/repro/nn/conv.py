@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.conv_ops import conv2d
+from repro.autograd.conv_ops import conv2d, conv2d_shared
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.nn import init
@@ -48,6 +48,12 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+
+    def forward_shared(self, x: Tensor, *weights: Tensor) -> list[Tensor]:
+        """``forward(x)`` plus bias-free convs of ``x`` by ``weights`` (an
+        adapter's rank-R factor), all off one unfolded patch matrix."""
+        biases = (self.bias,) + (None,) * len(weights)
+        return conv2d_shared(x, (self.weight, *weights), biases, self.stride, self.padding)
 
     def __repr__(self) -> str:
         return (

@@ -35,20 +35,47 @@ class BatchNorm2d(Module):
                 f"BatchNorm2d({self.channels}) got input shape {x.shape}"
             )
         if self.training:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = x.var(axis=(0, 2, 3), keepdims=True)
-            m = self.momentum
-            self._buffers["running_mean"] *= 1 - m
-            self._buffers["running_mean"] += m * mean.data.reshape(-1)
-            self._buffers["running_var"] *= 1 - m
-            self._buffers["running_var"] += m * var.data.reshape(-1)
-        else:
-            mean = Tensor(self._buffers["running_mean"].reshape(1, -1, 1, 1))
-            var = Tensor(self._buffers["running_var"].reshape(1, -1, 1, 1))
+            return self._train_forward(x)
+        mean = Tensor(self._buffers["running_mean"].reshape(1, -1, 1, 1))
+        var = Tensor(self._buffers["running_var"].reshape(1, -1, 1, 1))
         x_hat = (x - mean) / sqrt(var + self.eps)
         gamma = self.gamma.reshape(1, self.channels, 1, 1)
         beta = self.beta.reshape(1, self.channels, 1, 1)
         return x_hat * gamma + beta
+
+    def _train_forward(self, x: Tensor) -> Tensor:
+        """Batch statistics as one graph node with the analytic backward.
+
+        Mirrors the composed ``Tensor`` ops (``mean`` is ``sum * (1/count)``
+        and ``eps`` a 0-d float64), so outputs, dtypes and running stats
+        match them."""
+        axes = (0, 2, 3)
+        data = x.data
+        inv_count = np.asarray(1.0 / (data.size // self.channels))
+        mean = data.sum(axis=axes, keepdims=True) * inv_count
+        centered = data - mean
+        var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+        m = self.momentum
+        self._buffers["running_mean"] *= 1 - m
+        self._buffers["running_mean"] += m * mean.reshape(-1)
+        self._buffers["running_var"] *= 1 - m
+        self._buffers["running_var"] += m * var.reshape(-1)
+        std = np.sqrt(var + np.asarray(self.eps))
+        x_hat = centered / std
+        gamma = self.gamma.data.reshape(1, self.channels, 1, 1)
+        out = x_hat * gamma + self.beta.data.reshape(1, self.channels, 1, 1)
+
+        def grad_x(g: np.ndarray) -> np.ndarray:
+            g_hat = g * gamma
+            g_mean = g_hat.sum(axis=axes, keepdims=True) * inv_count
+            proj = (g_hat * x_hat).sum(axis=axes, keepdims=True) * inv_count
+            return (g_hat - g_mean - x_hat * proj) / std
+
+        return Tensor._result(
+            out,
+            (x, self.gamma, self.beta),
+            (grad_x, lambda g: (g * x_hat).sum(axis=axes), lambda g: g.sum(axis=axes)),
+        )
 
 
 class LayerNorm(Module):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.conv_ops import conv2d
 from repro.autograd.ops import einsum
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
@@ -52,9 +51,8 @@ class ConvLoRA(Adapter):
         self.lora_b = Parameter(init.zeros((rank, base.out_channels)))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
         # Fig. 3: small conv to R channels, then a 1x1 conv recovers O channels.
-        mid = conv2d(x, self.lora_a, stride=self.base.stride, padding=self.base.padding)
+        out, mid = self.base.forward_shared(x, self.lora_a)
         delta = einsum("nrhw,ro->nohw", mid, self.lora_b)
         return out + delta * self.scaling
 

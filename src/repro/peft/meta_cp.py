@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.conv_ops import conv2d
 from repro.autograd.ops import einsum
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError, ShapeError
@@ -141,8 +140,7 @@ class MetaLoRACPConv(Adapter):
         self._seed = seed
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
-        mid = conv2d(x, self.factor_a, stride=self.base.stride, padding=self.base.padding)
+        out, mid = self.base.forward_shared(x, self.factor_a)
         if self._seed is None:
             delta = einsum("nrhw,r,ro->nohw", mid, self.static_seed, self.factor_b)
         else:

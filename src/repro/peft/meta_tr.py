@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.conv_ops import conv2d
 from repro.autograd.ops import einsum
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError, ShapeError
@@ -150,14 +149,13 @@ class MetaLoRATRConv(Adapter):
         self._seed = seed
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
         r = self.rank
         k = self.base.kernel_size
         # A as one convolution with R·R output channels, index = p·R + r1.
         a_conv = self.core_a.transpose(1, 2, 3, 0, 4).reshape(
             k, k, self.base.in_channels, r * r
         )
-        mid = conv2d(x, a_conv, stride=self.base.stride, padding=self.base.padding)
+        out, mid = self.base.forward_shared(x, a_conv)
         n, __, h, w = mid.shape
         mid = mid.reshape(n, r, r, h, w)  # (N, p, r1, H, W)
         if self._seed is None:

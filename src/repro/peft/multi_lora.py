@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.conv_ops import conv2d
 from repro.autograd.ops import einsum
 from repro.autograd.tensor import Tensor
 from repro.errors import AdapterError
@@ -60,10 +59,6 @@ class _ConvBranch(Module):
             )
         )
         self.lora_b = Parameter(init.zeros((rank, out_channels)))
-
-    def delta(self, x: Tensor, stride: int, padding: int) -> Tensor:
-        mid = conv2d(x, self.lora_a, stride=stride, padding=padding)
-        return einsum("nrhw,ro->nohw", mid, self.lora_b)
 
     def delta_weight(self) -> np.ndarray:
         return np.einsum("abir,ro->abio", self.lora_a.data, self.lora_b.data)
@@ -150,9 +145,10 @@ class MultiLoRAConv(Adapter):
         self.gates = Parameter(init.ones((branches,)) / branches)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.base(x)
-        for k, branch in enumerate(self.lora_branches):
-            delta = branch.delta(x, self.base.stride, self.base.padding)
+        branches = list(self.lora_branches)
+        out, *mids = self.base.forward_shared(x, *(branch.lora_a for branch in branches))
+        for k, (branch, mid) in enumerate(zip(branches, mids)):
+            delta = einsum("nrhw,ro->nohw", mid, branch.lora_b)
             out = out + delta * (self.gates[k] * self.scaling)
         return out
 

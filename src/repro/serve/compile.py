@@ -17,7 +17,7 @@ into a flat list of steps over raw ``numpy`` arrays:
   :func:`repro.autograd.ops.einsum_forward`, …), so compiled outputs are
   bit-identical to the reference ``features()`` under the same
   ``repro.perf.FLAGS`` — including the shared einsum plan cache and conv
-  patch/pad workspaces.
+  pad workspace.
 
 On top of lowering sit the :mod:`repro.serve.optimize` passes, both
 selected per program at compile time:
@@ -760,8 +760,8 @@ def _lower_lora_linear(module: LoRALinear, b: ProgramBuilder, x: int) -> int:
 @compiles(ConvLoRA)
 def _lower_conv_lora(module: ConvLoRA, b: ProgramBuilder, x: int) -> int:
     base = b.lower(module.base, x)
-    # The adapter conv shares geometry with the base conv, so its
-    # _im2col_contiguous call hits the patch cache populated one step ago.
+    # The adapter conv unfolds x again: the base conv is its own step, and
+    # the autograd path's shared unfold yields the same patches.
     mid_conv = _conv_kernel(
         module.lora_a.data, None, module.base.stride, module.base.padding, b
     )

@@ -20,7 +20,7 @@ profiler produced (``tests/utils/test_profiling.py``).
 
 Counter names are unchanged: ``einsum.forward`` / ``einsum.backward``,
 ``conv2d.forward`` / ``conv2d.backward``, ``einsum.plan_cache.hit`` /
-``.miss``, ``conv2d.patches_cache.hit`` / ``.miss``, the backward sweep
+``.miss``, the backward sweep
 counters (``backward.sweep`` / ``backward.inplace_accum`` /
 ``backward.released``), the runtime's fault-tolerance counters
 (``retry.*`` / ``timeout.cell`` / ``faults.*``) and the serving

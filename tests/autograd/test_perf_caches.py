@@ -1,20 +1,18 @@
-"""Tests for the einsum plan cache and the conv2d patch cache."""
+"""Tests for the einsum plan cache and the perf flags."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.autograd import conv_ops, ops
+from repro.autograd import ops
 from repro.perf import FLAGS, perf_overrides, reference_mode
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
     ops.clear_einsum_plan_cache()
-    conv_ops.clear_conv_caches()
     yield
     ops.clear_einsum_plan_cache()
-    conv_ops.clear_conv_caches()
 
 
 def tr_einsum(a, b, c):
@@ -24,6 +22,12 @@ def tr_einsum(a, b, c):
 
 
 class TestEinsumPlanCache:
+    @pytest.fixture(autouse=True)
+    def plan_cache_on(self):
+        # The hit/miss tests need the cache on even under REPRO_PERF=off.
+        with perf_overrides(einsum_plan_cache=True):
+            yield
+
     def make_operands(self, rng, n=2, t=3, r=2, o=4):
         return (
             Tensor(rng.normal(size=(n, t, r, r)), requires_grad=True),
@@ -70,62 +74,6 @@ class TestEinsumPlanCache:
             np.testing.assert_allclose(ref, got, atol=1e-12)
 
 
-class TestConvPatchCache:
-    def paired_convs(self, x, w1, w2):
-        a = conv_ops.conv2d(x, w1, None, stride=1, padding=1)
-        b = conv_ops.conv2d(x, w2, None, stride=1, padding=1)
-        (a.sum() + b.sum()).backward()
-        return a.data, b.data, w1.grad, w2.grad
-
-    def make_inputs(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
-        w1 = Tensor(rng.normal(size=(3, 3, 3, 4)), requires_grad=True)
-        w2 = Tensor(rng.normal(size=(3, 3, 3, 2)), requires_grad=True)
-        return x, w1, w2
-
-    def test_same_input_second_conv_hits(self, rng):
-        self.paired_convs(*self.make_inputs(rng))
-        stats = conv_ops.conv_patch_cache_stats()
-        assert stats["hits"] >= 1
-
-    def test_cached_matches_reference(self, rng):
-        x, w1, w2 = self.make_inputs(rng)
-        with reference_mode():
-            reference = self.paired_convs(
-                Tensor(x.data),
-                Tensor(w1.data, requires_grad=True),
-                Tensor(w2.data, requires_grad=True),
-            )
-        cached = self.paired_convs(x, w1, w2)
-        for ref, got in zip(reference, cached):
-            np.testing.assert_array_equal(ref, got)
-
-    def test_inplace_mutation_invalidates_fingerprint(self, rng):
-        """Gradient checkers perturb x.data in place — the cache must notice."""
-        x, w1, w2 = self.make_inputs(rng)
-        self.paired_convs(x, w1, w2)
-        x.data[0, 0, 0, 0] += 1.0
-        w1.zero_grad()
-        w2.zero_grad()
-        mutated = self.paired_convs(x, w1, w2)
-        with reference_mode():
-            reference = self.paired_convs(
-                Tensor(x.data.copy()),
-                Tensor(w1.data, requires_grad=True),
-                Tensor(w2.data, requires_grad=True),
-            )
-        for ref, got in zip(reference, mutated):
-            np.testing.assert_array_equal(ref, got)
-
-    def test_capacity_bounded(self, rng):
-        for __ in range(2 * conv_ops._PATCH_CACHE_CAPACITY):
-            x = Tensor(rng.normal(size=(1, 2, 6, 6)))
-            w = Tensor(rng.normal(size=(3, 3, 2, 2)), requires_grad=True)
-            conv_ops.conv2d(x, w, None, stride=1, padding=1).sum().backward()
-        stats = conv_ops.conv_patch_cache_stats()
-        assert stats["size"] <= conv_ops._PATCH_CACHE_CAPACITY
-
-
 class TestPerfFlags:
     def test_overrides_restore_on_exit(self):
         original = FLAGS.einsum_plan_cache
@@ -137,7 +85,6 @@ class TestPerfFlags:
         with reference_mode():
             assert not FLAGS.einsum_plan_cache
             assert not FLAGS.einsum_optimize
-            assert not FLAGS.conv_patches_cache
             assert not FLAGS.conv_pad_workspace
             assert not FLAGS.batched_seeds
 
